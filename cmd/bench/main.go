@@ -34,7 +34,7 @@
 // point matched its uniform counterpart bit for bit.
 //
 // The batch cell times one fork panel twice at equal fidelity: per-point
-// (SweepOptions.BatchLanes = 0, the solo scheduler) and batched
+// (SweepOptions.BatchLanes = 1, the solo scheduler) and batched
 // (AutoBatchLanes, multi-lane solves sharing one pass over the structure
 // per sweep), cross-checking the two figures bit for bit. The recorded
 // speedup — per-point wall-clock over batched wall-clock — is the PR-8
@@ -556,7 +556,8 @@ func measureBatch(iters int, eps float64) (*batchReport, error) {
 		Gamma: rep.Gamma, PGrid: grid,
 		Configs:    []selfishmining.AttackConfig{{Depth: rep.Depth, Forks: rep.Forks}},
 		MaxForkLen: rep.Len, TreeWidth: 3, Epsilon: eps,
-		Workers: 1, // single-core, so the ratio isolates batching from parallelism
+		Workers:    1, // single-core, so the ratio isolates batching from parallelism
+		BatchLanes: 1, // the solo scheduler; the default would batch
 	}
 	var perPointFig, batchedFig *results.Figure
 	rep.PerPointNsOp, rep.BatchedNsOp = math.MaxInt64, math.MaxInt64

@@ -42,13 +42,15 @@
 // default shape, and the single-tree baseline series (which accompanies
 // the fork figure) is omitted.
 //
-// -batch-lanes turns on batched multi-lane solving: grid points of one
-// attack configuration are grouped and solved together, streaming the
-// shared transition structure once per value-iteration sweep for the whole
-// group (-1 auto-sizes the group to a cache budget, K >= 2 forces K-lane
-// groups, 0 — the default — keeps per-point solves). Requires the default
-// jacobi kernel; the figure is bitwise identical either way. See
-// docs/PERFORMANCE.md. Local sweeps only: not carried by -submit jobs.
+// -batch-lanes sets batched multi-lane solving: grid points of one attack
+// configuration are grouped and solved together, streaming the shared
+// transition structure once per value-iteration sweep for the whole group.
+// 0, the default, batches auto-sized groups under the jacobi kernel and
+// solves per point under any other kernel; -1 auto-sizes the group to a
+// cache budget, 1 forces per-point solves, K >= 2 forces K-lane groups.
+// A nonzero value requires the default jacobi kernel; the figure is
+// bitwise identical either way. See docs/PERFORMANCE.md. Local sweeps
+// only: not carried by -submit jobs (which batch by default too).
 package main
 
 import (
@@ -96,7 +98,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		maxDepth = fs.Int("max-depth", 0, "adaptive bisection depth bound (0 = default 4; requires -adaptive)")
 		maxPts   = fs.Int("max-points", 0, "cap on refined points an adaptive sweep may add (0 = unlimited; requires -adaptive)")
 		kern     = fs.String("kernel", "", fmt.Sprintf("value-iteration kernel variant: %s (default jacobi; the figure is identical either way)", strings.Join(selfishmining.KernelVariants(), ", ")))
-		lanes    = fs.Int("batch-lanes", 0, "batched multi-lane solving: lanes per same-config group (-1 = auto-size to cache budget, 0 = off, >= 2 = forced); jacobi kernel only, figures are bitwise identical")
+		lanes    = fs.Int("batch-lanes", 0, "batched multi-lane solving: lanes per same-config group (0 = default: auto-sized for the jacobi kernel, per-point otherwise; -1 = auto-size to cache budget; 1 = per-point; >= 2 = forced); nonzero needs the jacobi kernel, figures are bitwise identical")
 		workers  = fs.Int("workers", 0, "worker pool size over grid points (0 = all cores); results are identical at any setting")
 		timeout  = fs.Duration("timeout", 0, "abort the sweep after this long (0 = none); completed points were already streamed to stderr")
 		out      = fs.String("o", "", "write CSV to this file (default stdout)")
@@ -127,7 +129,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	if *lanes < selfishmining.AutoBatchLanes {
-		return fmt.Errorf("-batch-lanes %d: need -1 (auto), 0 (off), or a positive lane count", *lanes)
+		return fmt.Errorf("-batch-lanes %d: need -1 (auto), 0 (default), or a positive lane count", *lanes)
 	}
 	if *lanes != 0 && (*server != "" || *submit || *resumeID != "") {
 		return fmt.Errorf("-batch-lanes applies to local sweeps only; async jobs schedule their own solves")

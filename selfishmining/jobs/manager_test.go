@@ -701,10 +701,12 @@ func BenchmarkJobSubmitOverhead(b *testing.B) {
 
 // TestJobSweepResumeResetsPointProgress: a sweep canceled mid-grid and
 // resumed recomputes from scratch, so the re-run's point counter restarts
-// instead of accumulating past PointsTotal.
+// instead of accumulating past PointsTotal. The grid's ten nonzero points
+// span two 8-lane groups, so the cancel lands mid-grid on the batched
+// default path too.
 func TestJobSweepResumeResetsPointProgress(t *testing.T) {
 	spec := SweepSpec{
-		Gamma: 0.5, PGrid: []float64{0, 0.05, 0.1, 0.15, 0.2},
+		Gamma: 0.5, PGrid: []float64{0, 0.02, 0.04, 0.06, 0.08, 0.1, 0.12, 0.14, 0.16, 0.18, 0.2},
 		Configs: []SweepConfig{{Depth: 1, Forks: 1}}, Len: 3, Epsilon: 1e-3,
 	}
 	m := newTestManager(t, Config{})

@@ -175,6 +175,10 @@ func TestServiceWarmVsColdBitwise(t *testing.T) {
 		TreeWidth:  3,
 		Epsilon:    1e-3,
 		Workers:    1, // sequential grid maximizes warm reuse
+		// The solo path seeds every point from the warm cache; a lane
+		// group seeds only from points solved before it, which this
+		// one-group-per-config grid never has.
+		BatchLanes: 1,
 	}
 	warmSvc := newTestService(ServiceConfig{})
 	warmFig, err := warmSvc.Sweep(opts)

@@ -51,8 +51,10 @@ const DefaultSweepMaxForkLen = 4
 
 // AutoBatchLanes, as SweepOptions.BatchLanes, sizes each batched lane
 // group automatically: the lane count is chosen so one group's per-lane
-// data (probabilities plus value vectors) fits a fixed cache budget,
-// clamped to [2, 16] lanes.
+// data (probabilities plus value vectors) fits a fixed cache budget, at
+// most 8 lanes. A structure too large for two lanes to fit resolves to 1,
+// the solo per-point path. A zero BatchLanes resolves the same way under
+// the default "jacobi" kernel.
 const AutoBatchLanes = -1
 
 // Defaults of the adaptive refinement options (see SweepOptions.Adaptive).
@@ -119,14 +121,18 @@ type SweepOptions struct {
 	// batched solves: K nearby p values ride one pass over the shared
 	// compiled structure per value-iteration sweep (kernel.Batch), which
 	// is substantially faster on memory-bound models than K separate
-	// solves. 0, the default, keeps the solo per-point path;
-	// AutoBatchLanes sizes lane groups to a cache budget from the panel's
-	// structure sizes; 1 forces the solo path; K >= 2 forces K-lane
-	// groups. Batched sweeps require the default "jacobi" kernel — the
-	// batch replicates exactly its floating-point op sequence — and
-	// compute bitwise-identical figures: batching changes scheduling,
-	// never results. OnPoint streaming, Resume checkpoints and the result
-	// cache keep their per-point semantics in either mode.
+	// solves. 0, the default, batches with auto-sized lane groups
+	// (AutoBatchLanes) under the "jacobi" kernel and keeps the solo
+	// per-point path under every other kernel; AutoBatchLanes sizes lane
+	// groups to a cache budget from the panel's structure sizes; 1 forces
+	// the solo path; K >= 2 forces K-lane groups. An explicit lane count
+	// requires the default "jacobi" kernel — the batch replicates exactly
+	// its floating-point op sequence. Batched and solo sweeps compute
+	// bitwise-identical figures: batching changes scheduling, never
+	// results. OnPoint streaming, Resume checkpoints and the result cache
+	// keep their per-point semantics in either mode. Warm starts differ:
+	// a lane group seeds only from points solved before it started, so a
+	// batched sweep records fewer warm-cache hits than a solo one.
 	BatchLanes int
 
 	// Adaptive switches the sweep from the uniform grid to threshold-
@@ -385,7 +391,7 @@ func (s *Service) SweepContext(ctx context.Context, opts SweepOptions) (*results
 		return nil, fmt.Errorf("selfishmining: %w", err)
 	}
 	if opts.BatchLanes < AutoBatchLanes {
-		return nil, fmt.Errorf("selfishmining: sweep BatchLanes = %d (want 0 to disable, AutoBatchLanes, or a positive lane count)", opts.BatchLanes)
+		return nil, fmt.Errorf("selfishmining: sweep BatchLanes = %d (want 0 for the default, AutoBatchLanes, or a positive lane count)", opts.BatchLanes)
 	}
 	if opts.BatchLanes != 0 {
 		if kv, _ := kernel.ParseVariant(opts.Kernel); kv != kernel.VariantJacobi {
@@ -650,25 +656,33 @@ func splitWorkers(workers, poolSize, w int) int {
 	return max(base, 1)
 }
 
-// batchLanes resolves the sweep's effective lane count: 0 and 1 keep the
-// solo per-point path, AutoBatchLanes is sized from the panel's compiled
-// structures, and explicit counts pass through.
+// batchLanes resolves the sweep's effective lane count: explicit counts
+// pass through; AutoBatchLanes, and 0 under the jacobi kernel, are sized
+// from the panel's compiled structures; 0 under any other kernel keeps the
+// solo per-point path (the batch replicates only jacobi's op sequence, and
+// SweepContext rejects any nonzero count for the other kernels). A result
+// below 2 means the solo path.
 func (o *SweepOptions) batchLanes(bases []*core.Compiled) int {
-	if o.BatchLanes == AutoBatchLanes {
-		return autoBatchLanes(bases)
+	if o.BatchLanes > 0 {
+		return o.BatchLanes
 	}
-	return o.BatchLanes
+	if kv, _ := kernel.ParseVariant(o.Kernel); kv != kernel.VariantJacobi {
+		return 1
+	}
+	return autoBatchLanes(bases)
 }
 
 // autoBatchLanes sizes a lane group from the panel's largest structure:
 // each lane adds a float32 probability per transition and two float64
 // value-vector entries per state, and the group works best while that
 // per-lane footprint times the lane count stays cache-resident. The 8 MiB
-// budget approximates a shared L3 slice; the result is clamped to [2, 8],
-// and any budget allowing 8 or more lanes snaps to exactly 8 — the width
-// the kernel's hand-specialized dense sweep is built for (see
-// kernel.NewBatch), which holds all eight action accumulators in registers
-// and is where batching's per-lane advantage over a solo sweep comes from.
+// budget approximates a shared L3 slice. Any budget allowing 8 or more
+// lanes snaps to exactly 8 — the width the kernel's hand-specialized dense
+// sweep is built for (see kernel.NewBatch), which holds all eight action
+// accumulators in registers and is where batching's per-lane advantage
+// over a solo sweep comes from. A budget that fits fewer than two lanes
+// returns 1, the solo path: forcing two lanes there buys no speed and
+// multiplies the sweep's value-vector memory.
 func autoBatchLanes(bases []*core.Compiled) int {
 	const budget = 8 << 20
 	laneBytes := int64(1)
@@ -678,14 +692,7 @@ func autoBatchLanes(bases []*core.Compiled) int {
 			laneBytes = lb
 		}
 	}
-	k := budget / laneBytes
-	if k < 2 {
-		return 2
-	}
-	if k > 8 {
-		return 8
-	}
-	return int(k)
+	return int(min(max(budget/laneBytes, 1), 8))
 }
 
 // BatchLaneCount reports the lane count AutoBatchLanes resolves to for one

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/families"
 	"repro/internal/results"
 )
@@ -74,10 +75,11 @@ func figuresBitwiseEqual(t *testing.T, tag string, got, want *results.Figure) {
 
 // TestBatchedSweepMatchesSoloFigure is the sweep-level pin of the batching
 // contract: for every registered family, the figure computed with lane
-// batching (auto-sized and forced counts, including a count larger than
-// the grid) is bitwise identical to the solo per-point sweep's, and the
-// OnPoint stream still delivers every attack point exactly once with the
-// figure's exact values.
+// batching (the unset default, auto-sized and forced counts, including a
+// count larger than the grid) schedules lane groups and is bitwise
+// identical to the forced solo per-point sweep's, and the OnPoint stream
+// still delivers every attack point exactly once with the figure's exact
+// values.
 func TestBatchedSweepMatchesSoloFigure(t *testing.T) {
 	grid := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3}
 	for _, name := range families.Names() {
@@ -85,11 +87,13 @@ func TestBatchedSweepMatchesSoloFigure(t *testing.T) {
 		if name == families.DefaultName {
 			opts.Configs = []AttackConfig{{Depth: 1, Forks: 1}, {Depth: 2, Forks: 1}, {Depth: 2, Forks: 2}}
 		}
-		want, err := NewService(ServiceConfig{}).SweepContext(context.Background(), opts)
+		solo := opts
+		solo.BatchLanes = 1
+		want, err := NewService(ServiceConfig{}).SweepContext(context.Background(), solo)
 		if err != nil {
 			t.Fatalf("%s: solo sweep: %v", name, err)
 		}
-		for _, lanes := range []int{AutoBatchLanes, 3, len(grid) + 5} {
+		for _, lanes := range []int{0, AutoBatchLanes, 3, len(grid) + 5} {
 			bOpts := opts
 			bOpts.BatchLanes = lanes
 			type pointKey struct {
@@ -107,9 +111,13 @@ func TestBatchedSweepMatchesSoloFigure(t *testing.T) {
 				}
 				streamed[k] = pt
 			}
+			groups := batchGroupsScheduled.Value()
 			got, err := NewService(ServiceConfig{}).SweepContext(context.Background(), bOpts)
 			if err != nil {
 				t.Fatalf("%s lanes=%d: batched sweep: %v", name, lanes, err)
+			}
+			if batchGroupsScheduled.Value() == groups {
+				t.Errorf("%s lanes=%d: sweep scheduled no lane groups", name, lanes)
 			}
 			figuresBitwiseEqual(t, name, got, want)
 			nAttack := len(bOpts.Configs)
@@ -249,5 +257,68 @@ func TestBatchedSweepValidation(t *testing.T) {
 	solo.BatchLanes = 1 // explicit solo: valid, forces the per-point path
 	if _, err := Sweep(solo); err != nil {
 		t.Errorf("BatchLanes = 1: %v", err)
+	}
+	gsDefault := base
+	gsDefault.Kernel = "gs" // unset lanes: the solo path, not an error
+	if _, err := Sweep(gsDefault); err != nil {
+		t.Errorf("gs kernel with BatchLanes unset: %v", err)
+	}
+}
+
+// TestAutoBatchLanes pins the cache-budget lane sizing: small structures
+// snap to the dense 8-lane width, mid-sized ones get what fits the budget,
+// and a structure too large for two lanes resolves to the solo path
+// instead of a forced 2-lane group.
+func TestAutoBatchLanes(t *testing.T) {
+	cases := []struct {
+		cfg    AttackConfig
+		maxLen int
+		want   int
+	}{
+		{AttackConfig{Depth: 1, Forks: 1}, 3, 8},
+		{AttackConfig{Depth: 2, Forks: 2}, 5, 8}, // cmd/bench's batch cell
+		{AttackConfig{Depth: 2, Forks: 2}, 7, 5},
+		{AttackConfig{Depth: 3, Forks: 2}, 3, 3},
+		{AttackConfig{Depth: 3, Forks: 2}, 4, 1}, // 187,500 states
+	}
+	for _, c := range cases {
+		got, err := BatchLaneCount("", c.cfg, c.maxLen)
+		if err != nil {
+			t.Fatalf("%+v l=%d: %v", c.cfg, c.maxLen, err)
+		}
+		if got != c.want {
+			t.Errorf("BatchLaneCount(%+v, l=%d) = %d, want %d", c.cfg, c.maxLen, got, c.want)
+		}
+	}
+}
+
+// TestBatchLanesResolution pins how SweepOptions.BatchLanes resolves: a
+// zero value batches auto-sized groups under the jacobi kernel only, and
+// explicit counts pass through unchanged.
+func TestBatchLanesResolution(t *testing.T) {
+	small, err := families.Compile(families.DefaultName, core.Params{P: 0.1, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := []*core.Compiled{small}
+	auto := autoBatchLanes(bases)
+	cases := []struct {
+		kernel string
+		lanes  int
+		want   int
+	}{
+		{"", 0, auto},
+		{"jacobi", 0, auto},
+		{"gs", 0, 1},
+		{"sor", 0, 1},
+		{"", AutoBatchLanes, auto},
+		{"", 1, 1},
+		{"", 3, 3},
+	}
+	for _, c := range cases {
+		opts := SweepOptions{Kernel: c.kernel, BatchLanes: c.lanes}
+		if got := opts.batchLanes(bases); got != c.want {
+			t.Errorf("kernel %q BatchLanes %d resolves to %d lanes, want %d", c.kernel, c.lanes, got, c.want)
+		}
 	}
 }
