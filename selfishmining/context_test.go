@@ -349,14 +349,23 @@ func TestSweepCancelAndRetry(t *testing.T) {
 		Epsilon:    1e-3,
 		Workers:    1, // serial draw order makes the cancellation point land mid-panel
 	}
-	ref, err := SweepContext(context.Background(), opts)
+	// The reference run counts its checkpoints (it never cancels), so the
+	// canceled run below stops halfway through whatever path the default
+	// options take: batched lane groups poll less often than solo points.
+	counter := &cancelAfterChecks{Context: context.Background(), n: math.MaxInt64}
+	ref, err := SweepContext(counter, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	total := counter.calls.Load()
+	if total < 4 {
+		t.Fatalf("uncanceled sweep polled the context %d times; too few to cancel mid-panel", total)
+	}
+	t.Logf("canceling at checkpoint %d of %d", total/2, total)
 	svc := NewService(ServiceConfig{})
-	cctx := &cancelAfterChecks{Context: context.Background(), n: 300}
+	cctx := &cancelAfterChecks{Context: context.Background(), n: total / 2}
 	if _, cerr := svc.SweepContext(cctx, opts); cerr == nil {
-		t.Skip("sweep finished before 300 checkpoints; grid too small for this assertion")
+		t.Fatalf("sweep finished within %d of its %d checkpoints; cancellation never landed", total/2, total)
 	} else if !errors.Is(cerr, ErrCanceled) {
 		t.Fatalf("sweep cancel error %v, want ErrCanceled", cerr)
 	}
