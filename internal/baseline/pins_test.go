@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -182,4 +183,69 @@ func TestSingleTreeBitwisePins(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCompiledSingleTreeMatchesPins: one compiled chain per (rule, shape)
+// and one scratch reused across all of its γ rows and points — the way a
+// sweep worker evaluates a grid — reproduces the pinned bits, so nothing a
+// point leaves in the scratch leaks into the next. It stops at p = 0.3:
+// scratch reuse does not depend on p, and TestSingleTreeBitwisePins
+// already covers the slowly mixing points above through the same code.
+func TestCompiledSingleTreeMatchesPins(t *testing.T) {
+	type shape struct {
+		rule         PublishRule
+		depth, width int
+	}
+	chains := map[shape]*CompiledSingleTree{}
+	scratches := map[shape]*SingleTreeScratch{}
+	for _, row := range singleTreePins {
+		key := shape{row.rule, row.depth, row.width}
+		if chains[key] == nil {
+			c, err := CompileSingleTree(row.depth, row.width, row.rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chains[key], scratches[key] = c, c.NewScratch()
+		}
+		for i, want := range row.bits {
+			p := float64(i) / 20
+			if p > 0.3 {
+				break
+			}
+			got, err := chains[key].ERRev(p, row.gamma, scratches[key])
+			if err != nil {
+				t.Fatalf("%+v p=%v gamma=%v: %v", key, p, row.gamma, err)
+			}
+			if math.Float64bits(got) != want {
+				t.Errorf("%+v p=%v gamma=%v: compiled ERRev = %v, want %v", key, p, row.gamma, got, math.Float64frombits(want))
+			}
+		}
+	}
+}
+
+// TestCompiledSingleTreeConcurrent: one compiled chain shared by several
+// goroutines, each on its own scratch — a sweep's baseline pool — gives
+// every goroutine the pinned bits. Run under -race it checks that
+// evaluation only reads the compiled chain.
+func TestCompiledSingleTreeConcurrent(t *testing.T) {
+	row := singleTreePins[4] // PublishThreatened, γ = 0.5, l = 3, f = 3
+	c, err := CompileSingleTree(row.depth, row.width, row.rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := c.NewScratch()
+			for i := 0; i <= 6; i++ { // p = 0 … 0.3
+				got, err := c.ERRev(float64(i)/20, row.gamma, sc)
+				if err != nil || math.Float64bits(got) != row.bits[i] {
+					t.Errorf("worker %d, p=%v: ERRev = %v, %v; want %v", w, float64(i)/20, got, err, math.Float64frombits(row.bits[i]))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

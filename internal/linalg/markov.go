@@ -32,7 +32,8 @@ func (o *StationaryOptions) defaults() {
 // Stationary computes the stationary distribution π of an irreducible
 // row-stochastic matrix P via damped power iteration on πᵀ = πᵀP.
 // The damping (π ← (1−τ)π + τ πP) leaves the fixed point unchanged while
-// guaranteeing aperiodicity.
+// guaranteeing aperiodicity. It validates P, transposes it, and runs
+// StationaryTransposed over freshly allocated work vectors.
 func Stationary(p *CSR, opts StationaryOptions) ([]float64, error) {
 	if p.Rows != p.Cols {
 		return nil, fmt.Errorf("linalg: Stationary needs a square matrix, got %dx%d", p.Rows, p.Cols)
@@ -40,23 +41,46 @@ func Stationary(p *CSR, opts StationaryOptions) ([]float64, error) {
 	if !p.IsStochastic(1e-9) {
 		return nil, errors.New("linalg: Stationary requires a row-stochastic matrix")
 	}
+	return StationaryTransposed(p.Transpose(), make([]float64, p.Rows), make([]float64, p.Rows), opts)
+}
+
+// StationaryTransposed is Stationary's power iteration for a caller that
+// holds pt, the transpose (as built by CSR.Transpose) of a square
+// row-stochastic matrix it has already validated, and owns the work
+// vectors pi and next, each of length pt.Rows. It neither validates nor
+// allocates, so a caller evaluating many chains of one pattern reuses
+// everything. The returned π aliases pi or next.
+//
+// Each iteration gathers (πᵀP)[c] as the dot product of row c of pt with
+// π, fused with the damping, the L1 change and the mass sum. Row c of pt
+// holds column c of P in P's row order, so the gather adds the terms of a
+// row-by-row scatter in the same order; a row with π[r] == 0, which a
+// scatter skips, adds an exact +0 here. π is therefore bitwise the
+// scatter iteration's.
+func StationaryTransposed(pt *CSR, pi, next []float64, opts StationaryOptions) ([]float64, error) {
+	n := pt.Rows
+	if pt.Cols != n || len(pi) != n || len(next) != n {
+		return nil, fmt.Errorf("linalg: StationaryTransposed dimension mismatch: matrix %dx%d, pi %d, next %d", pt.Rows, pt.Cols, len(pi), len(next))
+	}
 	opts.defaults()
-	n := p.Rows
-	pi := make([]float64, n)
-	next := make([]float64, n)
 	for i := range pi {
 		pi[i] = 1 / float64(n)
 	}
 	tau := opts.Damping
+	rowPtr := pt.RowPtr[:n+1]
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		if err := p.MulVecT(pi, next); err != nil {
-			return nil, err
-		}
 		var diff, sum float64
-		for i := range next {
-			next[i] = (1-tau)*pi[i] + tau*next[i]
-			diff += math.Abs(next[i] - pi[i])
-			sum += next[i]
+		for c := range next {
+			lo, hi := rowPtr[c], rowPtr[c+1]
+			cols, vals := pt.ColIdx[lo:hi], pt.Val[lo:hi]
+			var s float64
+			for k, a := range vals {
+				s += a * pi[cols[k]]
+			}
+			v := (1-tau)*pi[c] + tau*s
+			next[c] = v
+			diff += math.Abs(v - pi[c])
+			sum += v
 		}
 		// Renormalize to guard against drift.
 		for i := range next {

@@ -77,25 +77,36 @@ func (m *CSR) MulVec(x, y []float64) error {
 	return nil
 }
 
-// MulVecT computes y = Mᵀ x, i.e. y[c] = Σ_r M[r,c] x[r].
-// y must have length Cols, x length Rows.
-func (m *CSR) MulVecT(x, y []float64) error {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		return fmt.Errorf("linalg: MulVecT dimension mismatch: matrix %dx%d, x %d, y %d", m.Rows, m.Cols, len(x), len(y))
+// Transpose returns Mᵀ in CSR form. Row c of Mᵀ lists column c of M in
+// M's storage order — ascending row, then position within the row — so a
+// dot product over row c of Mᵀ adds the same terms, in the same order, as
+// a row-by-row scatter of Mᵀx into y[c].
+func (m *CSR) Transpose() *CSR {
+	t := &CSR{
+		Rows:   m.Cols,
+		Cols:   m.Rows,
+		RowPtr: make([]int64, m.Cols+1),
+		ColIdx: make([]int32, len(m.Val)),
+		Val:    make([]float64, len(m.Val)),
 	}
-	for i := range y {
-		y[i] = 0
+	for _, c := range m.ColIdx {
+		t.RowPtr[c+1]++
 	}
+	for c := 0; c < m.Cols; c++ {
+		t.RowPtr[c+1] += t.RowPtr[c]
+	}
+	next := make([]int64, m.Cols)
+	copy(next, t.RowPtr[:m.Cols])
 	for r := 0; r < m.Rows; r++ {
-		xr := x[r]
-		if xr == 0 {
-			continue
-		}
 		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			y[m.ColIdx[k]] += m.Val[k] * xr
+			c := m.ColIdx[k]
+			j := next[c]
+			next[c]++
+			t.ColIdx[j] = int32(r)
+			t.Val[j] = m.Val[k]
 		}
 	}
-	return nil
+	return t
 }
 
 // RowSums returns the vector of row sums; useful to validate stochasticity.

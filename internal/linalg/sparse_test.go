@@ -52,7 +52,7 @@ func TestNewCSROutOfBounds(t *testing.T) {
 	}
 }
 
-func TestMulVecT(t *testing.T) {
+func TestTranspose(t *testing.T) {
 	// [0.5 0.5; 1 0]ᵀ x for x = [1, 2] => [0.5+2, 0.5]
 	m, err := NewCSR(2, 2, []Entry{
 		{Row: 0, Col: 0, Val: 0.5},
@@ -62,12 +62,20 @@ func TestMulVecT(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCSR: %v", err)
 	}
+	mt := m.Transpose()
+	if mt.Rows != 2 || mt.Cols != 2 || mt.NNZ() != 3 {
+		t.Fatalf("Transpose shape %dx%d with %d entries, want 2x2 with 3", mt.Rows, mt.Cols, mt.NNZ())
+	}
 	y := make([]float64, 2)
-	if err := m.MulVecT([]float64{1, 2}, y); err != nil {
-		t.Fatalf("MulVecT: %v", err)
+	if err := mt.MulVec([]float64{1, 2}, y); err != nil {
+		t.Fatalf("MulVec: %v", err)
 	}
 	if y[0] != 2.5 || y[1] != 0.5 {
-		t.Errorf("MulVecT = %v, want [2.5 0.5]", y)
+		t.Errorf("Mᵀx = %v, want [2.5 0.5]", y)
+	}
+	// Row 0 of Mᵀ is column 0 of M in row order: (0, 0.5) then (1, 1).
+	if mt.ColIdx[0] != 0 || mt.ColIdx[1] != 1 || mt.Val[0] != 0.5 || mt.Val[1] != 1 {
+		t.Errorf("Mᵀ row 0 = cols %v vals %v, want [0 1] [0.5 1]", mt.ColIdx[:2], mt.Val[:2])
 	}
 }
 

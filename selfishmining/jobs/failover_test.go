@@ -353,3 +353,43 @@ func TestReplicaCrashHelper(t *testing.T) {
 	fmt.Printf("JOB %s\n", st.ID)
 	<-hold
 }
+
+// TestPollKeepsFinishedJobOverStaleRecord: finish marks a job done and
+// drops its lease before its final record lands in the store, so a poll
+// in that window reads the job's last running snapshot. The mirror must
+// keep the finished state — adopting the stale record sent a done job
+// back to running, or (with no live lease) queued it to run again — while
+// a record from a later resume epoch is still adopted.
+func TestPollKeepsFinishedJobOverStaleRecord(t *testing.T) {
+	m, _ := newReplica(t, t.TempDir(), "a")
+	st, err := m.Submit(Request{Kind: KindAnalyze, Analyze: &smallSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, st.ID, StateDone)
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j := m.jobs[st.ID]
+	now := time.Now()
+	remote := map[string]Lease{st.ID: {JobID: st.ID, Owner: "b", Token: 99, Expires: now.Add(time.Minute)}}
+	for _, leases := range []map[string]Lease{{}, remote} {
+		stale := &Record{Status: *m.statusLocked(j)}
+		stale.State, stale.FinishedAt, stale.Result = StateRunning, nil, nil
+		wake := 0
+		m.refreshLocked(j, stale, leases, now, &wake)
+		if j.state != StateDone || j.heapIdx >= 0 || wake != 0 {
+			t.Fatalf("stale running record (leases %v) turned a done job into %s (queued: %v, wakes: %d)",
+				leases, j.state, j.heapIdx >= 0, wake)
+		}
+	}
+	resumed := &Record{Status: *m.statusLocked(j)}
+	resumed.State, resumed.FinishedAt, resumed.Result = StateRunning, nil, nil
+	resumed.Resumes++
+	wake := 0
+	m.refreshLocked(j, resumed, remote, now, &wake)
+	if j.state != StateRunning || j.remoteOwner != "b" || j.heapIdx >= 0 {
+		t.Fatalf("record of a later resume left the job %s (remote owner %q, queued: %v), want running on b",
+			j.state, j.remoteOwner, j.heapIdx >= 0)
+	}
+}

@@ -1408,6 +1408,14 @@ func (m *Manager) pollOnce() {
 // local copy of a job this replica does not lease, then fixes up queue
 // membership and lease display for the adopted state.
 func (m *Manager) refreshLocked(j *job, rec *Record, leases map[string]Lease, now time.Time, wake *int) {
+	if j.state.Terminal() && !rec.State.Terminal() && rec.Resumes <= j.resumes {
+		// Only Resume leaves a terminal state, and it bumps Resumes. A
+		// non-terminal record from the same resume epoch is older than
+		// the state we hold — typically our own finish, whose final
+		// record is still being written — and adopting it would send a
+		// finished job back to running or queued.
+		return
+	}
 	if rec.State == StateRunning && j.state == StateQueued && j.heapIdx >= 0 {
 		if l, ok := leases[j.id]; !ok || l.Expired(now) {
 			// The record is the dead owner's last write and we already

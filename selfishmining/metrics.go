@@ -17,6 +17,15 @@ var (
 		"Single-point groups that fell back to the solo per-point path.")
 )
 
+// Baseline-phase instruments, recorded once per sweep when its honest and
+// single-tree series are done (or abandoned), never per point.
+var (
+	baselineSeconds = obs.Default().Histogram("sweep_baseline_seconds",
+		"Wall time of one sweep's baseline phase (honest and single-tree series).", obs.DefBuckets())
+	baselinePoints = obs.Default().Counter("sweep_baseline_points_total",
+		"Single-tree baseline points evaluated by sweeps.")
+)
+
 // RegisterMetrics wires this service's accounting into a metrics registry
 // as scrape-time collector series: the three LRU caches (results,
 // structures, warm-start vectors), the singleflight coalescing counters,

@@ -16,6 +16,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/results"
 	adaptive "repro/internal/sweep"
+	"repro/selfishmining/obs"
 )
 
 // sweepModel canonicalizes the sweep's family name for cache keys.
@@ -423,6 +424,16 @@ func (s *Service) SweepContext(ctx context.Context, opts SweepOptions) (*results
 			}
 		}
 	}
+	// The single-tree baseline accompanies the fork figure only — for the
+	// singletree family it IS the curve. Its chain's shape depends only on
+	// (l, f), so it compiles once per sweep, before any solve: an
+	// unsupported depth fails up front.
+	var tree *baseline.CompiledSingleTree
+	if isFork {
+		if tree, err = baseline.CompileSingleTree(opts.MaxForkLen, opts.TreeWidth, baseline.PublishThreatened); err != nil {
+			return nil, err
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, s.countCancel(cancelError(err, nil))
 	}
@@ -454,8 +465,8 @@ func (s *Service) SweepContext(ctx context.Context, opts SweepOptions) (*results
 			return nil, s.countCancel(err)
 		}
 		fig.X = res.X
-		if err := s.addBaselines(fig, res.X, opts, workers, isFork); err != nil {
-			return nil, err
+		if err := s.addBaselines(ctx, fig, res.X, opts, workers, tree); err != nil {
+			return nil, s.countCancel(err)
 		}
 		progress("baselines done (gamma=%g, %d points)", opts.Gamma, len(res.X))
 		for ci, cfg := range opts.Configs {
@@ -467,8 +478,8 @@ func (s *Service) SweepContext(ctx context.Context, opts SweepOptions) (*results
 	}
 
 	fig.X = opts.PGrid
-	if err := s.addBaselines(fig, opts.PGrid, opts, workers, isFork); err != nil {
-		return nil, err
+	if err := s.addBaselines(ctx, fig, opts.PGrid, opts, workers, tree); err != nil {
+		return nil, s.countCancel(err)
 	}
 	progress("baselines done (gamma=%g, %d points)", opts.Gamma, len(opts.PGrid))
 
@@ -484,11 +495,16 @@ func (s *Service) SweepContext(ctx context.Context, opts SweepOptions) (*results
 	return fig, nil
 }
 
-// addBaselines appends the honest series — and, for the fork family, the
-// single-tree baseline — to fig, evaluated over xs. Baseline points are
-// independent exact chain analyses; the single-tree points spread over a
-// pool (the honest closed form is too cheap to bother).
-func (s *Service) addBaselines(fig *results.Figure, xs []float64, opts SweepOptions, workers int, isFork bool) error {
+// addBaselines appends the honest series — and, given the fork family's
+// compiled single-tree chain, the single-tree series — to fig, evaluated
+// over xs. Single-tree points are independent exact chain analyses drawn
+// by a pool of workers, each evaluating on its own scratch (the honest
+// closed form is too cheap to bother). ctx is polled before every point;
+// once it is done, workers stop drawing and the call returns a
+// *CancelError. The phase's wall time and evaluated points are recorded
+// once, when it ends.
+func (s *Service) addBaselines(ctx context.Context, fig *results.Figure, xs []float64, opts SweepOptions, workers int, tree *baseline.CompiledSingleTree) error {
+	defer obs.StartSpan(baselineSeconds).End()
 	honest := make([]float64, len(xs))
 	for i, p := range xs {
 		v, err := baseline.HonestERRev(p)
@@ -500,26 +516,49 @@ func (s *Service) addBaselines(fig *results.Figure, xs []float64, opts SweepOpti
 	if err := fig.AddSeries("honest", honest); err != nil {
 		return err
 	}
-	if !isFork {
-		// The single-tree baseline accompanies the fork figure only — for
-		// the singletree family it IS the curve.
+	if tree == nil {
 		return nil
 	}
-	tree := make([]float64, len(xs))
-	treeErrs := make([]error, len(xs))
-	par.For(len(xs), workers, func(_, from, to int) {
-		for i := from; i < to; i++ {
-			tree[i], treeErrs[i] = baseline.SingleTreeERRev(baseline.SingleTreeParams{
-				P: xs[i], Gamma: opts.Gamma, MaxDepth: opts.MaxForkLen, MaxWidth: opts.TreeWidth,
-			})
-		}
-	})
-	for _, err := range treeErrs {
+	values := make([]float64, len(xs))
+	errs := make([]error, len(xs))
+	var cursor atomic.Int64
+	var evaluated atomic.Uint64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(xs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scratch := tree.NewScratch()
+			var n uint64
+			defer func() { evaluated.Add(n) }()
+			for !failed.Load() {
+				i := int(cursor.Add(1)) - 1
+				if i >= len(xs) {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					errs[i] = cancelError(err, nil)
+					failed.Store(true)
+					return
+				}
+				values[i], errs[i] = tree.ERRev(xs[i], opts.Gamma, scratch)
+				n++
+				if errs[i] != nil {
+					failed.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	baselinePoints.Add(evaluated.Load())
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	return fig.AddSeries(fmt.Sprintf("single-tree(f=%d)", opts.TreeWidth), tree)
+	return fig.AddSeries(fmt.Sprintf("single-tree(f=%d)", opts.TreeWidth), values)
 }
 
 // sweepBases resolves each config's (d, f, l) structure once, in parallel
